@@ -8,12 +8,13 @@ to this module, and enforces the speedup floors:
 * weighted k-means and the two coordinate-distance kernels are
   embarrassingly data-parallel and must each beat the scalar oracle
   >= 3x, as must the full offline placement pipeline built from them;
-* micro-cluster stream absorption is *inherently sequential* (every
-  absorb/spawn/merge decision sees the clusters as the previous point
-  left them), so its vectorization win is structurally modest — the
-  floor only pins that the batched kernel never loses to the scalar
-  loop, and the mixed kernel aggregate clears a correspondingly lower
-  bar.  The honest per-kernel numbers land in the JSON either way.
+* micro-cluster stream absorption is sequential (every absorb/spawn/
+  merge decision sees the clusters as the previous point left them),
+  so the fast backend runs it as a compiled C kernel rather than a
+  vectorised one; it must beat the scalar loop >= 20x.  The online
+  placement pipeline only has to not lose to the scalar oracle, and the
+  mixed kernel aggregate clears a lower bar than the data-parallel
+  kernels.  The honest per-kernel numbers land in the JSON either way.
 """
 
 import json
@@ -140,12 +141,12 @@ def test_kernel_speedups(evaluation_world, capsys):
     assert speedups["pairwise_distances"] >= 3.0, doc
     assert speedups["cross_distances"] >= 3.0, doc
     assert speedups["placement_offline_end_to_end"] >= 3.0, doc
-    # The mixed aggregate includes the sequential absorption kernel,
-    # whose win is structurally modest; its floor is correspondingly
-    # lower so scheduler noise cannot flake the nightly job.
+    # The mixed aggregate's floor stays below the per-kernel bars so
+    # scheduler noise cannot flake the nightly job.
     assert aggregate >= 2.5, doc
-    # The sequential kernels only have to not lose to the scalar oracle.
-    assert speedups["cf_absorb_stream"] >= 1.0, doc
+    # The compiled absorb kernel against the scalar loop.
+    assert speedups["cf_absorb_stream"] >= 20.0, doc
+    # Online placement only has to not lose to the scalar oracle.
     assert speedups["placement_online_end_to_end"] >= 1.0, doc
     # A warm cache hit only copies; it must beat recomputation.
     assert cached_s < cold_s, doc

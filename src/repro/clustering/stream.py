@@ -18,7 +18,7 @@ under the paper's rule: absorb a point into the nearest cluster when it
 falls within that cluster's standard deviation, otherwise spawn a new
 cluster and merge the two closest.  The numeric work routes through
 :mod:`repro.kernels.cf`, so the same maintenance rule runs on either the
-vectorised ``numpy`` backend or the scalar ``python`` reference backend.
+fast ``numpy`` backend or the scalar ``python`` reference backend.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.kernels import cf as _cf
+from repro.kernels import wkmeans as _wk
 from repro.kernels import resolve_backend
 
 __all__ = ["ClusterFeature", "OnlineClusterer"]
@@ -97,7 +98,7 @@ class ClusterFeature:
         """
         mean = self.linear_sum / self.count
         var = self.square_sum / self.count - mean ** 2
-        return float(np.sqrt(max(float(np.sum(var)), 0.0)))
+        return float(np.sqrt(max(float(_wk.fold_sum(var)), 0.0)))
 
     def absorb(self, point: np.ndarray, weight: float = 1.0) -> None:
         """Fold one more point into the cluster."""
@@ -215,8 +216,11 @@ class OnlineClusterer:
         cache = self._centroid_cache
         assert cache is not None
         if resolve_backend(self.backend) == "numpy":
-            diff = cache - point[None, :]
-            sq = np.einsum("ij,ij->i", diff, diff)
+            # centroid - point, folded like the scalar loop and the
+            # compiled absorb kernel, so both engines pick the same
+            # cluster at the same distance.
+            sq = _wk.sq_distances(cache, point[None, :],
+                                  backend="numpy")[:, 0]
             nearest = int(np.argmin(sq))
             return nearest, float(sq[nearest])
         best, best_sq = 0, float("inf")
@@ -303,9 +307,9 @@ class OnlineClusterer:
 
         Equivalent to calling :meth:`add` once per point, but the whole
         block runs inside :func:`repro.kernels.cf.absorb_stream`, so the
-        per-point work never touches Python objects on the numpy
-        backend.  Spawn/absorb/merge events are counted in aggregate
-        (individual tracer spans are not emitted on this path).
+        per-point work runs in compiled code on the numpy backend.
+        Spawn/absorb/merge events are counted in aggregate (individual
+        tracer spans are not emitted on this path).
         """
         block = [np.asarray(p, dtype=float) for p in points]
         if not block:

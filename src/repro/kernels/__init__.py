@@ -15,11 +15,16 @@ Every kernel exists in two implementations selected by a process-wide
 *backend* switch:
 
 ``"numpy"``
-    Vectorised array kernels — the production path.
+    The production path.  Vectorised array kernels, except the
+    sequential stream-absorb rule, which runs compiled: a C port of the
+    scalar loop, built on first use with the system ``cc`` (see
+    :func:`repro.kernels.cf.absorb_stream`).  Without a compiler it
+    falls back to the scalar loop.
 ``"python"``
     Scalar pure-Python loops — the reference oracle the differential
-    test suite checks the vectorised path against, and the baseline the
-    ``benchmarks/test_kernels.py`` speedup is measured from.
+    test suite checks the fast path against bit for bit, and the
+    baseline the ``benchmarks/test_kernels.py`` speedup is measured
+    from.
 
 The switch defaults to ``numpy`` and can be set three ways, in
 precedence order: an explicit ``backend=`` argument on a kernel call,

@@ -10,18 +10,32 @@ certifies.
 
 Everything is deterministic and RNG-free: absorb/spawn/merge decisions
 depend only on the inputs, and ties resolve to the lowest index in both
-backends.  The numpy variants keep all per-point math on arrays; the
-python variants are scalar loops — the reference oracle.
+backends.  The python variants are scalar loops — the reference oracle.
+The numpy variants of the CF algebra keep the math on arrays, reducing
+over dimensions in the reference's left-to-right order; the numpy
+stream rule runs the compiled C kernel ``absorb.c``, built on first use
+with the system ``cc`` and cached per user (see :func:`absorb_stream`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.kernels import resolve_backend
+from repro.kernels.wkmeans import fold_sum, sq_distances
 
 __all__ = [
     "deviations",
@@ -46,7 +60,7 @@ def deviations(counts: np.ndarray, linear: np.ndarray, square: np.ndarray,
     if resolve_backend(backend) == "numpy":
         mean = linear / counts[:, None]
         var = square / counts[:, None] - mean ** 2
-        return np.sqrt(np.maximum(var.sum(axis=1), 0.0))
+        return np.sqrt(np.maximum(fold_sum(var), 0.0))
     out = []
     for n, ls, ss in zip(counts.tolist(), linear.tolist(), square.tolist()):
         total = 0.0
@@ -154,12 +168,11 @@ def closest_pair(centroids: np.ndarray,
     if centroids.shape[0] < 2:
         raise ValueError("need at least two rows")
     if resolve_backend(backend) == "numpy":
-        # Direct (m, m, d) broadcast: micro-cluster budgets are small
-        # (m <= a few dozen), and the explicit difference keeps the pair
-        # distances bitwise-identical to the scalar backend's
-        # sum-of-squared-differences — the Gram-matrix trick would not.
-        diff = centroids[:, None, :] - centroids[None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
+        # Direct (m, m, d) differences: micro-cluster budgets are small
+        # (m <= a few dozen), and explicit differences folded in scalar
+        # order keep the pair distances bitwise-identical to the scalar
+        # backend's — neither the Gram-matrix trick nor einsum would.
+        dist = sq_distances(centroids, centroids, backend="numpy")
         np.fill_diagonal(dist, np.inf)
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         return (int(i), int(j)) if i < j else (int(j), int(i))
@@ -193,199 +206,153 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     and when the budget overflows the two closest clusters merge.
     Returns the updated rows plus ``{"spawned", "absorbed", "merged"}``
     event counts for the metrics registry.
+
+    The rule is sequential — every decision sees the clusters as the
+    previous point left them — so the ``numpy`` backend runs it in the
+    compiled C kernel ``absorb.c``, bitwise-equal to the scalar
+    reference.  Without a working C compiler both backends run the
+    scalar reference; the ``kernels.cf.absorb_compiled`` gauge records
+    which one served.
     """
     registry = obs.get_registry()
     with registry.phase("kernels.cf.absorb_stream"):
-        if resolve_backend(backend) == "numpy":
-            return _absorb_stream_numpy(counts, weights, linear, square,
-                                        points, point_weights,
-                                        radius_floor, max_clusters)
+        kernel = (_compiled_kernel() if resolve_backend(backend) == "numpy"
+                  else None)
+        registry.gauge("kernels.cf.absorb_compiled").set(kernel is not None)
+        if kernel is not None:
+            return _absorb_stream_compiled(kernel, counts, weights, linear,
+                                           square, points, point_weights,
+                                           radius_floor, max_clusters)
         return _absorb_stream_python(counts, weights, linear, square,
                                      points, point_weights,
                                      radius_floor, max_clusters)
 
 
-#: Points per distance-matrix chunk in the numpy absorb kernel.  Large
-#: enough to amortize the per-chunk ``np.unique``; small enough that a
-#: worst-case all-distinct chunk keeps the matrix and the per-mutation
-#: column refresh cheap.
-_ABSORB_CHUNK = 4096
+# ----------------------------------------------------------------------
+# The compiled kernel: built once per source hash, cached per user
+# ----------------------------------------------------------------------
+_SOURCE = Path(__file__).with_name("absorb.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: The loaded C entry point; ``False`` once building or loading failed.
+_kernel = None
 
 
-def _absorb_stream_numpy(counts, weights, linear, square, points,
-                         point_weights, radius_floor, max_clusters):
-    # The stream rule is inherently sequential (each decision sees the
-    # clusters as the previous point left them), so the loop over points
-    # stays in python.  The trick that makes it fast anyway: real access
-    # streams draw points from a tiny alphabet (client coordinates, each
-    # repeated thousands of times), so the kernel maintains a
-    # *unique-point x cluster* squared-distance matrix per chunk and
-    # recomputes a single column only when a mutation actually moves
-    # that centroid bitwise — absorbing a point into a cluster made of
-    # identical points usually leaves ``linear_sum / count`` unchanged,
-    # costing no numpy work at all.  Per-point work is then a row argmin
-    # plus scalar CF updates on python floats: IEEE scalar arithmetic in
-    # the same operation order is bitwise-identical to the numpy
-    # elementwise pipeline it replaces and an order of magnitude cheaper
-    # than per-point ufunc dispatch.
-    #
-    # Bitwise parity with the previous per-point einsum (and hence the
-    # scalar oracle, for the dimensionalities the suite pins) holds
-    # because every matrix entry is produced by the same elementwise
-    # subtract-square and the same sequential reduction over the last
-    # axis, whether computed as a chunk ("ijk,ijk->ij"), a column
-    # ("ij,ij->i") or a row.
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+class _KernelUnavailable(RuntimeError):
+    """The C kernel cannot be built, or not loaded safely."""
+
+
+def _find_compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro"
+
+
+def _private_dir(path: Path) -> Path:
+    """Create ``path`` (mode 0700) and check that only we can write it.
+
+    A directory another user owns or can write to — ``/tmp`` itself, a
+    group-writable share — could swap the shared object under us, so it
+    is refused rather than loaded from.
+    """
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = path.lstat()
+    if not stat.S_ISDIR(info.st_mode):
+        raise _KernelUnavailable(f"{path} is not a directory")
+    if info.st_uid != os.getuid():
+        raise _KernelUnavailable(f"{path} is not owned by the current user")
+    if info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise _KernelUnavailable(f"{path} is group- or other-writable")
+    return path
+
+
+def _build(compiler: str, cache: Path) -> Path:
+    """The shared object for this source and these flags, built if absent.
+
+    The build goes to a private temp file that is renamed into place, so
+    processes building at once never load a half-written file.
+    """
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_CFLAGS).encode(), compiler.encode(),
+         platform.machine().encode()])).hexdigest()[:16]
+    target = cache / f"absorb-{key}.so"
+    if target.exists():
+        return target
+    fd, tmp = tempfile.mkstemp(prefix=".absorb-", suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120)
+        if done.returncode != 0:
+            raise _KernelUnavailable(
+                done.stderr.strip() or f"{compiler} exited {done.returncode}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load():
+    compiler = _find_compiler()
+    if compiler is None:
+        raise _KernelUnavailable("no C compiler (cc) on PATH")
+    library = ctypes.CDLL(str(_build(compiler, _private_dir(_cache_dir()))))
+    kernel = library.absorb_stream
+    ptr, n = ctypes.c_void_p, ctypes.c_long
+    kernel.argtypes = [ptr] * 5 + [n, n, ptr, ptr, n, ctypes.c_double, n,
+                                   ptr]
+    kernel.restype = n
+    return kernel
+
+
+def _compiled_kernel():
+    """The C entry point, or ``None`` (after one warning) when unavailable."""
+    global _kernel
+    if _kernel is None:
+        try:
+            _kernel = _load()
+        except (OSError, subprocess.SubprocessError,
+                _KernelUnavailable) as exc:
+            warnings.warn(f"compiled absorb kernel unavailable, using the "
+                          f"scalar reference: {exc}", RuntimeWarning,
+                          stacklevel=3)
+            _kernel = False
+    return _kernel or None
+
+
+def _absorb_stream_compiled(kernel, counts, weights, linear, square, points,
+                            point_weights, radius_floor, max_clusters):
+    points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
     npts, d = points.shape
-    cap = max_clusters + 1
-    sqrt = math.sqrt
-    cnt = np.asarray(counts, dtype=float).tolist()
-    wts = np.asarray(weights, dtype=float).tolist()
-    if cnt:
-        ls = np.atleast_2d(np.asarray(linear, dtype=float)).tolist()
-        ss = np.atleast_2d(np.asarray(square, dtype=float)).tolist()
-    else:
-        ls, ss = [], []
-    ctr = [[l / c for l in row] for c, row in zip(cnt, ls)]
-
-    def radius_of(j):
-        c = cnt[j]
-        total = 0.0
-        for l, s in zip(ls[j], ss[j]):
-            mean = l / c
-            total += s / c - mean * mean
-        return max(sqrt(max(total, 0.0)), radius_floor)
-
-    n = len(cnt)
-    rad = [radius_of(j) for j in range(n)]
-    stats = {"spawned": 0, "absorbed": 0, "merged": 0}
-    pw = np.asarray(point_weights, dtype=float).tolist()
-
-    start = 0
-    while start < npts:
-        stop = min(start + _ABSORB_CHUNK, npts)
-        block = points[start:stop]
-        upts, uid = np.unique(block, axis=0, return_inverse=True)
-        uid = uid.ravel().tolist()
-        u = upts.shape[0]
-        D = np.empty((u, cap))
-        ctrbuf = np.empty((cap, d))  # staging row for column refreshes
-        if n:
-            ctrbuf[:n] = ctr
-            diff = ctrbuf[None, :n, :] - upts[:, None, :]
-            D[:, :n] = np.einsum("ijk,ijk->ij", diff, diff)
-        scratch = np.empty((u, d))
-        planar2 = d == 2  # the simulator's coordinate case, unrolled
-        if planar2:
-            ux = np.ascontiguousarray(upts[:, 0])
-            uy = np.ascontiguousarray(upts[:, 1])
-            t0 = np.empty(u)
-            t1 = np.empty(u)
-
-        def refresh_col(j):
-            if planar2:
-                # (c0-x)^2 + (c1-y)^2 elementwise — same products and
-                # single-add reduction as the einsum form.
-                c0, c1 = ctr[j]
-                np.subtract(c0, ux, out=t0)
-                np.multiply(t0, t0, out=t0)
-                np.subtract(c1, uy, out=t1)
-                np.multiply(t1, t1, out=t1)
-                np.add(t0, t1, out=D[:, j])
-            else:
-                ctrbuf[j] = ctr[j]
-                diffc = np.subtract(ctrbuf[j], upts, out=scratch)
-                np.einsum("ij,ij->i", diffc, diffc, out=D[:, j])
-
-        block_list = block.tolist()
-        for i, p in enumerate(block_list):
-            w = pw[start + i]
-            if n == 0:
-                cnt.append(1.0)
-                wts.append(w)
-                ls.append(list(p))
-                ss.append([x * x for x in p])
-                ctr.append(list(p))
-                rad.append(radius_floor)  # singleton deviation is zero
-                n = 1
-                refresh_col(0)
-                stats["spawned"] += 1
-                continue
-            row = D[uid[i], :n]
-            nearest = int(row.argmin())
-            if sqrt(row[nearest]) <= rad[nearest]:
-                cnt[nearest] += 1.0
-                wts[nearest] += w
-                row_ls = ls[nearest]
-                row_ss = ss[nearest]
-                c = cnt[nearest]
-                if planar2:
-                    row_ls[0] = l0 = row_ls[0] + p[0]
-                    row_ls[1] = l1 = row_ls[1] + p[1]
-                    row_ss[0] = s0 = row_ss[0] + p[0] * p[0]
-                    row_ss[1] = s1 = row_ss[1] + p[1] * p[1]
-                    m0 = l0 / c
-                    m1 = l1 / c
-                    old = ctr[nearest]
-                    if m0 != old[0] or m1 != old[1]:
-                        ctr[nearest] = [m0, m1]
-                        refresh_col(nearest)
-                    # same sequential fold as radius_of, reusing means;
-                    # the branches mirror max() exactly (incl. NaN).
-                    total = s0 / c - m0 * m0
-                    total += s1 / c - m1 * m1
-                    if 0.0 > total:
-                        total = 0.0
-                    dev = sqrt(total)
-                    rad[nearest] = (radius_floor if radius_floor > dev
-                                    else dev)
-                else:
-                    for dim, x in enumerate(p):
-                        row_ls[dim] += x
-                        row_ss[dim] += x * x
-                    new_ctr = [l / c for l in row_ls]
-                    if new_ctr != ctr[nearest]:
-                        ctr[nearest] = new_ctr
-                        refresh_col(nearest)
-                    rad[nearest] = radius_of(nearest)
-                stats["absorbed"] += 1
-                continue
-            cnt.append(1.0)
-            wts.append(w)
-            ls.append(list(p))
-            ss.append([x * x for x in p])
-            ctr.append(list(p))
-            rad.append(radius_floor)
-            refresh_col(n)
-            n += 1
-            stats["spawned"] += 1
-            if n > max_clusters:
-                keep, drop = closest_pair(np.asarray(ctr), backend="numpy")
-                cnt[keep] += cnt[drop]
-                wts[keep] += wts[drop]
-                row_ls = ls[keep]
-                row_ss = ss[keep]
-                drop_ls = ls[drop]
-                drop_ss = ss[drop]
-                for dim in range(d):
-                    row_ls[dim] += drop_ls[dim]
-                    row_ss[dim] += drop_ss[dim]
-                for seq in (cnt, wts, ls, ss, ctr, rad):
-                    del seq[drop]
-                n -= 1
-                D[:, drop:n] = D[:, drop + 1:n + 1]
-                c = cnt[keep]
-                new_ctr = [l / c for l in row_ls]
-                if new_ctr != ctr[keep]:
-                    ctr[keep] = new_ctr
-                    refresh_col(keep)
-                rad[keep] = radius_of(keep)
-                stats["merged"] += 1
-        start = stop
-    return (np.asarray(cnt, dtype=float), np.asarray(wts, dtype=float),
-            np.asarray(ls, dtype=float).reshape(n, d),
-            np.asarray(ss, dtype=float).reshape(n, d),
-            stats)
+    point_weights = np.ascontiguousarray(point_weights, dtype=float)
+    if point_weights.shape != (npts,):
+        raise ValueError(f"expected {npts} point weights, "
+                         f"got shape {point_weights.shape}")
+    n = len(counts)
+    # Room for one spawn past the budget; never more rows than points.
+    cap = min(max(n, max_clusters), n + npts) + 1
+    cnt, wts = np.empty(cap), np.empty(cap)
+    ls, ss, ctr = np.empty((cap, d)), np.empty((cap, d)), np.empty((cap, d))
+    cnt[:n] = counts
+    wts[:n] = weights
+    if n:
+        ls[:n] = linear
+        ss[:n] = square
+    stats = np.zeros(3, dtype=ctypes.c_long)
+    n = kernel(cnt.ctypes.data, wts.ctypes.data, ls.ctypes.data,
+               ss.ctypes.data, ctr.ctypes.data, n, d, points.ctypes.data,
+               point_weights.ctypes.data, npts, float(radius_floor),
+               int(max_clusters), stats.ctypes.data)
+    spawned, absorbed, merged = stats.tolist()
+    return (cnt[:n].copy(), wts[:n].copy(), ls[:n].copy(), ss[:n].copy(),
+            {"spawned": spawned, "absorbed": absorbed, "merged": merged})
 
 
 def _absorb_stream_python(counts, weights, linear, square, points,

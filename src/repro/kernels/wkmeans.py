@@ -22,6 +22,7 @@ import numpy as np
 from repro.kernels import resolve_backend
 
 __all__ = [
+    "fold_sum",
     "sq_distances",
     "assign_labels",
     "assignment_costs",
@@ -31,6 +32,20 @@ __all__ = [
 ]
 
 
+def fold_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right, from ``0.0``.
+
+    The same reduction order as the scalar loops' ``acc += x``, so the
+    numpy and python backends agree bitwise.  ``einsum`` does not keep
+    that order for three or more terms, nor ``sum`` for eight or more.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape[:-1])
+    for k in range(values.shape[-1]):
+        out += values[..., k]
+    return out
+
+
 def sq_distances(points: np.ndarray, centers: np.ndarray,
                  *, backend: str | None = None) -> np.ndarray:
     """``(n, k)`` squared Euclidean distances, point row by centroid row."""
@@ -38,7 +53,7 @@ def sq_distances(points: np.ndarray, centers: np.ndarray,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if resolve_backend(backend) == "numpy":
         diff = points[:, None, :] - centers[None, :, :]
-        return np.einsum("nkd,nkd->nk", diff, diff)
+        return fold_sum(diff * diff)
     rows = points.tolist()
     cols = centers.tolist()
     out = [[0.0] * len(cols) for _ in rows]

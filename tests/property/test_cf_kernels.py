@@ -149,18 +149,34 @@ def test_deviation_backends_agree(stream):
 # ----------------------------------------------------------------------
 # Batched stream maintenance: backend equivalence as a property
 # ----------------------------------------------------------------------
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.tuples(point2, weight), min_size=1, max_size=30),
-       st.integers(min_value=1, max_value=6))
-def test_absorb_stream_backend_equivalence(stream, budget):
+@st.composite
+def alphabet_streams(draw):
+    """3-D points drawn from a small alphabet — the shape of real access
+    streams, where each client location repeats many times."""
+    alphabet = draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
+                             max_size=5))
+    picks = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=1,
+                          max_size=120))
+    return [(np.array(alphabet[i], dtype=float), draw(weight))
+            for i in picks]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(st.lists(st.tuples(point2, weight), min_size=1,
+                          max_size=30),
+                 alphabet_streams()),
+       st.integers(min_value=1, max_value=6),
+       st.sampled_from([0.0, 5.0]))
+def test_absorb_stream_backend_equivalence(stream, budget, radius_floor):
     points = np.stack([p for p, _ in stream])
     weights = np.array([w for _, w in stream])
+    d = points.shape[1]
     outs = {}
     for backend in kernels.BACKENDS:
         outs[backend] = cfk.absorb_stream(
-            np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
+            np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d)),
             points=points, point_weights=weights,
-            radius_floor=5.0, max_clusters=budget, backend=backend)
+            radius_floor=radius_floor, max_clusters=budget, backend=backend)
     for a, b in zip(outs["numpy"][:4], outs["python"][:4]):
         np.testing.assert_array_equal(a, b)
     assert outs["numpy"][4] == outs["python"][4]

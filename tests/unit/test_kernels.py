@@ -2,17 +2,24 @@
 
 Covers the backend switch API, python-vs-numpy equality of every kernel,
 eligibility masking, the batched CF maintenance kernel against the
-sequential reference, the pairwise-distance cache, and the deterministic
-empty-cluster reseed regression.
+sequential reference (on repeated-point streams too), the compiled
+kernel's build cache and fallback, the pairwise-distance cache, and the
+deterministic empty-cluster reseed regression.
 """
 
+import os
+import pathlib
 import pickle
 import random
+import shutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro import kernels, obs
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import ClusterFeature, OnlineClusterer
 from repro.coords.space import EuclideanSpace
@@ -163,6 +170,18 @@ class TestWKMeansKernels:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(np.diag(a), np.zeros(len(points)))
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_sq_distances_bitwise_identical(self, d):
+        # einsum reassociates the sum over d >= 3; the numpy backend
+        # must fold left to right exactly like the scalar loop.
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            points = rng.normal(size=(30, d)) * 40.0
+            centers = rng.normal(size=(6, d)) * 40.0
+            np.testing.assert_array_equal(
+                wk.sq_distances(points, centers, backend="numpy"),
+                wk.sq_distances(points, centers, backend="python"))
+
 
 # ----------------------------------------------------------------------
 # CF kernels
@@ -255,6 +274,251 @@ class TestCFKernels:
                               [10.0, 0.0], [11.0, 0.0]])
         for backend in kernels.BACKENDS:
             assert cfk.closest_pair(centroids, backend=backend) == (0, 1)
+
+    def test_closest_pair_backends_agree_on_near_ties(self):
+        # Two pairs whose offsets are permutations of the same three
+        # components: equally close in exact arithmetic, so the winner
+        # hangs on the last ulp of each reduction (seeds 14, 24, 26 and
+        # 41 picked the other pair under an einsum reduction).
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=3) * 10
+            comps = rng.normal(size=3)
+            centroids = np.array([base, base + comps, base + 10.0,
+                                  base + 10.0 + comps[[2, 0, 1]]])
+            assert (cfk.closest_pair(centroids, backend="numpy")
+                    == cfk.closest_pair(centroids, backend="python")), seed
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_deviations_bitwise_identical(self, d):
+        rng = np.random.default_rng(d)
+        counts = rng.integers(1, 50, size=12).astype(float)
+        linear = rng.normal(size=(12, d)) * 100.0
+        square = linear ** 2 / counts[:, None] + rng.uniform(0, 9, (12, d))
+        np.testing.assert_array_equal(
+            cfk.deviations(counts, linear, square, backend="numpy"),
+            cfk.deviations(counts, linear, square, backend="python"))
+
+    def test_nearest_bitwise_identical_at_d3(self):
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(8, 3)) * 30.0
+        queries = rng.normal(size=(200, 3)) * 30.0
+        found = {}
+        for backend in kernels.BACKENDS:
+            cl = OnlineClusterer(8, backend=backend)
+            cl.replace_clusters([ClusterFeature.from_point(c)
+                                 for c in centers])
+            found[backend] = [cl._nearest(q) for q in queries]
+        assert found["numpy"] == found["python"]
+
+
+def _alphabet_stream(seed, d, n=2000, letters=8, scale=10.0):
+    """Draws from a small alphabet of points — how client coordinates
+    actually arrive: a few locations, each repeated many times."""
+    rng = np.random.default_rng(seed)
+    alphabet = rng.normal(size=(letters, d)) * scale
+    return alphabet[rng.integers(0, letters, size=n)]
+
+
+def _empty_rows(d):
+    return np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d))
+
+
+def _assert_absorb_equal(got, want):
+    for a, b in zip(got[:4], want[:4]):
+        np.testing.assert_array_equal(a, b)
+    assert got[4] == want[4]
+
+
+class TestAbsorbParity:
+    """The compiled kernel against the scalar reference, bit for bit.
+
+    On repeated-point streams a point often lies exactly on a cluster's
+    radius, because that radius was built from the same points; a 1-ulp
+    difference in either distance then flips absorb into spawn.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_repeated_point_streams(self, d, warm):
+        # Seeds 3 and 6 include cold streams an einsum-reduced kernel
+        # got wrong at d = 3 and d = 5.
+        for seed in (0, 3, 6):
+            points = _alphabet_stream(seed, d)
+            weights = np.random.default_rng(seed).uniform(0.5, 2.0,
+                                                          len(points))
+            for floor in (0.0, 0.5, 5.0):
+                rows = _empty_rows(d)
+                pts, wts = points, weights
+                if warm:
+                    rows = cfk.absorb_stream(*rows, points[:300],
+                                             weights[:300], floor, 4,
+                                             backend="python")[:4]
+                    pts, wts = points[300:], weights[300:]
+                _assert_absorb_equal(
+                    cfk.absorb_stream(*rows, pts, wts, floor, 4,
+                                      backend="numpy"),
+                    cfk.absorb_stream(*rows, pts, wts, floor, 4,
+                                      backend="python"))
+
+    @pytest.mark.parametrize("floor, expected", [
+        (0.0, {"spawned": 801, "absorbed": 1199, "merged": 797}),
+        (0.5, {"spawned": 487, "absorbed": 1513, "merged": 483}),
+    ])
+    def test_pinned_d3_stream(self, floor, expected):
+        # An einsum-reduced kernel absorbed one point too many here.
+        points = _alphabet_stream(3, 3)
+        outs = [cfk.absorb_stream(*_empty_rows(3), points,
+                                  np.ones(len(points)), floor, 4,
+                                  backend=backend)
+                for backend in ("numpy", "python")]
+        assert outs[1][4] == expected
+        _assert_absorb_equal(*outs)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_per_event_engine_matches_batched_kernel(self, d):
+        points = _alphabet_stream(1, d, n=600)
+        for backend in kernels.BACKENDS:
+            one_by_one = OnlineClusterer(4, radius_floor=0.5,
+                                         backend=backend)
+            for p in points:
+                one_by_one.add(p)
+            batched = OnlineClusterer(4, radius_floor=0.5, backend=backend)
+            batched.extend(points)
+            assert len(batched) == len(one_by_one)
+            for got, want in zip(batched.clusters, one_by_one.clusters):
+                assert got.count == want.count
+                np.testing.assert_array_equal(got.linear_sum,
+                                              want.linear_sum)
+                np.testing.assert_array_equal(got.square_sum,
+                                              want.square_sum)
+
+    def test_rejects_mismatched_point_weights(self):
+        with pytest.raises(ValueError, match="point weights"):
+            cfk.absorb_stream(*_empty_rows(2), np.ones((3, 2)), np.ones(2),
+                              1.0, 4, backend="numpy")
+
+
+# ----------------------------------------------------------------------
+# Compiled absorb kernel: build cache, safety checks, fallback
+# ----------------------------------------------------------------------
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler on PATH")
+
+_SRC = str(pathlib.Path(cfk.__file__).resolve().parents[2])
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """Forget the loaded kernel and build into a private empty cache."""
+    monkeypatch.setattr(cfk, "_kernel", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "repro"
+
+
+def _absorb_once():
+    return cfk.absorb_stream(*_empty_rows(2), np.ones((5, 2)), np.ones(5),
+                             1.0, 3, backend="numpy")
+
+
+def _served_compiled():
+    with obs.observe() as (registry, _):
+        _absorb_once()
+    return registry.gauge("kernels.cf.absorb_compiled").value
+
+
+class TestCompiledKernel:
+    @needs_cc
+    def test_gauge_records_the_engine(self):
+        assert _served_compiled() == 1.0
+        with obs.observe() as (registry, _):
+            cfk.absorb_stream(*_empty_rows(2), np.ones((5, 2)), np.ones(5),
+                              1.0, 3, backend="python")
+        assert registry.gauge("kernels.cf.absorb_compiled").value == 0.0
+
+    @needs_cc
+    def test_builds_into_private_cache_and_reuses_it(self, fresh_kernel,
+                                                     monkeypatch):
+        assert _served_compiled() == 1.0
+        built = sorted(p.name for p in fresh_kernel.iterdir())
+        assert len(built) == 1 and built[0].startswith("absorb-")
+        assert fresh_kernel.stat().st_mode & 0o777 == 0o700
+
+        def no_compiling(*args, **kwargs):
+            raise AssertionError("a cached build was recompiled")
+
+        monkeypatch.setattr(cfk, "_kernel", None)
+        monkeypatch.setattr(cfk.subprocess, "run", no_compiling)
+        assert _served_compiled() == 1.0
+
+    @needs_cc
+    def test_cache_key_covers_the_flags(self, fresh_kernel, monkeypatch):
+        _absorb_once()
+        monkeypatch.setattr(cfk, "_kernel", None)
+        monkeypatch.setattr(cfk, "_CFLAGS", cfk._CFLAGS + ("-DREBUILD",))
+        assert _served_compiled() == 1.0
+        assert len(list(fresh_kernel.glob("absorb-*.so"))) == 2
+
+    def test_no_compiler_falls_back_with_one_warning(self, fresh_kernel,
+                                                     monkeypatch):
+        monkeypatch.setattr(cfk, "_find_compiler", lambda: None)
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            assert _served_compiled() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _absorb_once()
+        _assert_absorb_equal(got, cfk.absorb_stream(
+            *_empty_rows(2), np.ones((5, 2)), np.ones(5), 1.0, 3,
+            backend="python"))
+
+    @needs_cc
+    def test_failed_build_warns_with_compiler_error(self, fresh_kernel,
+                                                    monkeypatch, tmp_path):
+        broken = tmp_path / "absorb.c"
+        broken.write_text("this is not C;\n")
+        monkeypatch.setattr(cfk, "_SOURCE", broken)
+        with pytest.warns(RuntimeWarning, match="error"):
+            assert _served_compiled() == 0.0
+        assert list(fresh_kernel.iterdir()) == []  # no temp file left
+
+    def test_refuses_writable_cache_dir(self, fresh_kernel):
+        fresh_kernel.mkdir()
+        fresh_kernel.chmod(0o777)
+        with pytest.warns(RuntimeWarning, match="other-writable"):
+            assert _served_compiled() == 0.0
+        assert list(fresh_kernel.iterdir()) == []
+
+    def test_refuses_cache_dir_of_another_user(self, fresh_kernel,
+                                               monkeypatch):
+        uid = os.getuid()
+        monkeypatch.setattr(cfk.os, "getuid", lambda: uid + 1)
+        with pytest.warns(RuntimeWarning, match="not owned"):
+            assert _served_compiled() == 0.0
+
+    @needs_cc
+    def test_concurrent_cold_builds(self, fresh_kernel):
+        env = {k: v for k, v in os.environ.items()
+               if k != "REPRO_KERNEL_BACKEND"}
+        env["PYTHONPATH"] = _SRC
+        script = ("import numpy as np\n"
+                  "from repro import obs\n"
+                  "from repro.kernels import cf\n"
+                  "with obs.observe() as (registry, _):\n"
+                  "    cf.absorb_stream(np.zeros(0), np.zeros(0),\n"
+                  "                     np.zeros((0, 2)), np.zeros((0, 2)),\n"
+                  "                     np.ones((5, 2)), np.ones(5), 1.0, 3)\n"
+                  "gauge = registry.gauge('kernels.cf.absorb_compiled')\n"
+                  "print(gauge.value)\n")
+        procs = [subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for _ in range(3)]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert out.strip() == "1.0"
+        assert [p.name.startswith("absorb-") and p.suffix == ".so"
+                for p in fresh_kernel.iterdir()] == [True]
 
 
 # ----------------------------------------------------------------------
