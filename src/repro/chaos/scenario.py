@@ -117,7 +117,8 @@ from repro.store.selection import STRATEGIES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.latency import LatencyMatrix
 
-__all__ = ["FaultSpec", "ChaosScenario", "load_scenario", "FAULT_KINDS"]
+__all__ = ["FaultSpec", "ChaosScenario", "ScenarioFieldError",
+           "load_scenario", "FAULT_KINDS"]
 
 #: Fault kind -> required entry fields (beyond ``kind`` and ``at``).
 FAULT_KINDS: dict[str, tuple[str, ...]] = {
@@ -165,6 +166,14 @@ def _parse_domain_spec(spec: str) -> tuple[str, str, int | None]:
     if domain_id < 0:
         raise ValueError(f"domain id in {spec!r} must be non-negative")
     return "explicit", level, domain_id
+
+
+class ScenarioFieldError(ValueError):
+    """A scenario check that failed on one named field."""
+
+    def __init__(self, field_name: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -273,94 +282,117 @@ class ChaosScenario:
 
     def __post_init__(self) -> None:
         if self.runs < 1:
-            raise ValueError("a scenario needs at least one run")
+            raise ScenarioFieldError("runs",
+                                     "a scenario needs at least one run")
         if not 2 <= self.n_dc <= self.n_nodes:
-            raise ValueError("need 2 <= n_dc <= n_nodes")
+            raise ScenarioFieldError(
+                "n_dc", f"need 2 <= n_dc <= n_nodes ({self.n_nodes})")
         if not 1 <= self.k <= self.n_dc:
-            raise ValueError("need 1 <= k <= n_dc")
-        if self.duration_ms <= 0 or self.epoch_period_ms <= 0:
-            raise ValueError("durations must be positive")
+            raise ScenarioFieldError("k", f"need 1 <= k <= n_dc ({self.n_dc})")
+        for name in ("duration_ms", "epoch_period_ms"):
+            if getattr(self, name) <= 0:
+                raise ScenarioFieldError(name, "durations must be positive")
         if self.engine not in ("event", "batched"):
-            raise ValueError(f"unknown engine {self.engine!r} "
-                             "(use 'event' or 'batched')")
+            raise ScenarioFieldError("engine",
+                                     f"unknown engine {self.engine!r} "
+                                     "(use 'event' or 'batched')")
         if self.domain_assignment not in ("proximity", "contiguous"):
-            raise ValueError(f"unknown domain_assignment "
-                             f"{self.domain_assignment!r} "
-                             "(use 'proximity' or 'contiguous')")
+            raise ScenarioFieldError("domain_assignment",
+                                     "unknown domain_assignment "
+                                     f"{self.domain_assignment!r} "
+                                     "(use 'proximity' or 'contiguous')")
         if self.regions < 0:
-            raise ValueError("regions must be non-negative")
+            raise ScenarioFieldError("regions", "regions must be non-negative")
         if self.regions > 0:
-            if self.dcs_per_region < 1 or self.racks_per_dc < 1:
-                raise ValueError("domain counts must be positive")
+            for name in ("dcs_per_region", "racks_per_dc"):
+                if getattr(self, name) < 1:
+                    raise ScenarioFieldError(
+                        name, "domain counts must be positive")
             racks = self.regions * self.dcs_per_region * self.racks_per_dc
             if racks > self.n_dc:
-                raise ValueError(f"{racks} racks for {self.n_dc} candidates "
-                                 "— every rack needs at least one")
+                raise ScenarioFieldError(
+                    "regions", f"{racks} racks for {self.n_dc} candidates "
+                    "— every rack needs at least one")
             for name in ("p_region", "p_dc", "p_rack", "p_node"):
                 if not 0.0 <= getattr(self, name) < 1.0:
-                    raise ValueError(f"{name} must lie in [0, 1)")
+                    raise ScenarioFieldError(name,
+                                             f"{name} must lie in [0, 1)")
         if self.availability_lambda < 0:
-            raise ValueError("availability_lambda must be non-negative")
+            raise ScenarioFieldError(
+                "availability_lambda",
+                "availability_lambda must be non-negative")
         if self.availability_lambda > 0 and self.regions == 0:
-            raise ValueError("availability_lambda > 0 needs a [domains] "
-                             "section with regions > 0")
+            raise ScenarioFieldError(
+                "availability_lambda",
+                "availability_lambda > 0 needs a [domains] section with "
+                "regions > 0")
         if self.max_epoch_moves is not None and self.max_epoch_moves < 1:
-            raise ValueError("max_epoch_moves must be at least 1")
+            raise ScenarioFieldError("max_epoch_moves",
+                                     "max_epoch_moves must be at least 1")
         if self.n_keys < 0:
-            raise ValueError("n_keys must be non-negative")
+            raise ScenarioFieldError("n_keys", "n_keys must be non-negative")
         if self.n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
+            raise ScenarioFieldError("n_shards", "n_shards must be at least 1")
         if self.keys_per_group < 1:
-            raise ValueError("keys_per_group must be at least 1")
+            raise ScenarioFieldError("keys_per_group",
+                                     "keys_per_group must be at least 1")
         if not 0.0 <= self.epoch_stagger <= 1.0:
-            raise ValueError("epoch_stagger must lie in [0, 1]")
+            raise ScenarioFieldError("epoch_stagger",
+                                     "epoch_stagger must lie in [0, 1]")
         if self.hotspot_exponent < 0:
-            raise ValueError("hotspot_exponent must be non-negative")
+            raise ScenarioFieldError("hotspot_exponent",
+                                     "hotspot_exponent must be non-negative")
         # Queueing/selection knobs: delegate the detailed validation to
         # the factories so scenario files and direct construction reject
         # identically.
         self.build_queueing()
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown selection strategy "
-                             f"{self.strategy!r}; known: {STRATEGIES}")
+            raise ScenarioFieldError("strategy",
+                                     "unknown selection strategy "
+                                     f"{self.strategy!r}; known: {STRATEGIES}")
         if not 0 <= self.hotspot_anchor < self.n_dc:
-            raise ValueError(f"hotspot_anchor {self.hotspot_anchor} is not "
-                             f"a candidate position (< {self.n_dc})")
+            raise ScenarioFieldError(
+                "hotspot_anchor", f"hotspot_anchor {self.hotspot_anchor} is "
+                f"not a candidate position (< {self.n_dc})")
         domain_counts = {
             "region": self.regions,
             "dc": self.regions * self.dcs_per_region,
             "rack": self.regions * self.dcs_per_region * self.racks_per_dc,
         }
         horizon = self.duration_ms + self.settle_ms
-        for fault in self.faults:
+        for index, fault in enumerate(self.faults):
+            where = f"fault #{index}"
             if fault.at >= horizon:
-                raise ValueError(f"fault at {fault.at} ms lies beyond the "
-                                 f"run horizon {horizon} ms")
+                raise ScenarioFieldError(
+                    where, f"fault at {fault.at} ms lies beyond the run "
+                    f"horizon {horizon} ms")
             if fault.kind == "crash-shard-coordinator":
                 if self.n_keys == 0:
-                    raise ValueError(
-                        "crash-shard-coordinator faults need a [catalog] "
-                        "section with n_keys > 0")
+                    raise ScenarioFieldError(
+                        where, "crash-shard-coordinator faults need a "
+                        "[catalog] section with n_keys > 0")
                 if fault.shard >= self.n_shards:
-                    raise ValueError(
-                        f"fault references shard {fault.shard}, but the "
-                        f"scenario has {self.n_shards} shards")
+                    raise ScenarioFieldError(
+                        where, f"fault references shard {fault.shard}, but "
+                        f"the scenario has {self.n_shards} shards")
             if fault.kind == "domain-outage":
                 if self.regions == 0:
-                    raise ValueError("domain-outage faults need a [domains] "
-                                     "section with regions > 0")
+                    raise ScenarioFieldError(
+                        where, "domain-outage faults need a [domains] "
+                        "section with regions > 0")
                 mode, level, domain_id = _parse_domain_spec(fault.domain)
                 if mode == "explicit" and domain_id >= domain_counts[level]:
-                    raise ValueError(
-                        f"fault references {fault.domain!r}, but the "
+                    raise ScenarioFieldError(
+                        where, f"fault references {fault.domain!r}, but the "
                         f"scenario has {domain_counts[level]} {level}s")
             for position in ((fault.node,) if fault.node is not None else ()) \
                     + fault.group_a + fault.group_b \
                     + tuple(p for p in (fault.a, fault.b) if p is not None):
                 if not 0 <= position < self.n_dc:
-                    raise ValueError(
-                        f"fault references candidate position {position}, "
-                        f"but the scenario has {self.n_dc} candidates")
+                    raise ScenarioFieldError(
+                        where, "fault references candidate position "
+                        f"{position}, but the scenario has {self.n_dc} "
+                        "candidates")
 
     def build_queueing(self) -> "QueueingConfig | None":
         """Materialize the server-queueing config, or ``None``.
@@ -398,6 +430,32 @@ class ChaosScenario:
             self.racks_per_dc, **probs)
 
 
+_SCALARS: dict[str, tuple[type, ...]] = {
+    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+    "None": (type(None),),
+}
+
+
+def _check_types(cls, values: dict[str, Any]) -> None:
+    """Reject the first scalar field of dataclass ``cls`` whose value in
+    ``values`` has the wrong type, with a :class:`ScenarioFieldError`.
+
+    Fields whose annotation is not a union of ``int``, ``float``,
+    ``str``, ``bool`` and ``None`` (tuples, tables) are left to their
+    own parsers.  An integer is a valid ``float``; a boolean is not a
+    number.
+    """
+    for spec in fields(cls):
+        names = str(spec.type).split(" | ")
+        if spec.name not in values or not set(names) <= _SCALARS.keys():
+            continue
+        value = values[spec.name]
+        allowed = tuple(t for name in names for t in _SCALARS[name])
+        if (bool not in allowed if isinstance(value, bool)
+                else not isinstance(value, allowed)):
+            raise ScenarioFieldError(spec.name, f"must be {spec.type}")
+
+
 def _parse_fault(entry: dict, index: int, source: str) -> FaultSpec:
     if not isinstance(entry, dict):
         raise ValueError(f"{source}: fault #{index} must be a table/object")
@@ -414,17 +472,26 @@ def _parse_fault(entry: dict, index: int, source: str) -> FaultSpec:
                          f"accept {unknown}; allowed: {sorted(allowed)}")
     if "at" not in entry:
         raise ValueError(f"{source}: fault #{index} needs an 'at' time")
+    where = f"{source}: fault #{index} ({kind})"
     payload = dict(entry)
-    for group in ("group_a", "group_b"):
-        if group in payload:
-            payload[group] = tuple(int(p) for p in payload[group])
-    return FaultSpec(**payload)
+    try:
+        _check_types(FaultSpec, payload)
+        for group in ("group_a", "group_b"):
+            if group in payload:
+                payload[group] = tuple(int(p) for p in payload[group])
+        return FaultSpec(**payload)
+    except ScenarioFieldError as exc:
+        raise ValueError(f"{where}: {exc.field} = {entry[exc.field]!r}: "
+                         f"{exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_scenario(payload: dict, source: str) -> ChaosScenario:
     if not isinstance(payload, dict):
         raise ValueError(f"{source}: chaos scenario must be a table/object")
     flat: dict[str, Any] = {}
+    section_of: dict[str, str] = {}  # field -> the table it came from
     for key in ("name", "seed", "runs"):
         if key in payload:
             flat[key] = payload[key]
@@ -438,6 +505,7 @@ def _parse_scenario(payload: dict, source: str) -> ChaosScenario:
             raise ValueError(f"{source}: unknown [{section}] fields "
                              f"{unknown}")
         flat.update(table)
+        section_of.update(dict.fromkeys(table, section))
     retry_table = payload.get("retry", None)
     if retry_table is not None:
         policy_fields = {f.name for f in fields(RetryPolicy)}
@@ -454,7 +522,18 @@ def _parse_scenario(payload: dict, source: str) -> ChaosScenario:
                                    "faults"})
     if stray:
         raise ValueError(f"{source}: unknown top-level entries {stray}")
-    return ChaosScenario(**flat)
+    try:
+        _check_types(ChaosScenario, flat)
+        return ChaosScenario(**flat)
+    except ScenarioFieldError as exc:
+        name = exc.field
+        if name in section_of:
+            name = f"[{section_of[name]}] {name}"
+        if exc.field in flat:
+            name = f"{name} = {flat[exc.field]!r}"
+        raise ValueError(f"{source}: {name}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_scenario(path: str) -> ChaosScenario:

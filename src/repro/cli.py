@@ -210,7 +210,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_chaos,
     )
 
-    scenario = load_scenario(args.scenario)
+    try:
+        scenario = load_scenario(args.scenario)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.engine is not None and args.engine != scenario.engine:
         scenario = replace(scenario, engine=args.engine)
     summary = run_chaos(scenario, **_runner_kwargs(args))

@@ -24,7 +24,7 @@ fast ``numpy`` backend or the scalar ``python`` reference backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -301,9 +301,9 @@ class OnlineClusterer:
         self.points_seen = 0
         self._centroid_cache = None
 
-    def extend(self, points: Iterable[np.ndarray],
-               weights: Iterable[float] | None = None) -> None:
-        """Feed many points through the batched absorption kernel.
+    def extend(self, points: np.ndarray | Sequence[Sequence[float]],
+               weights: np.ndarray | Sequence[float] | None = None) -> None:
+        """Feed an ``(n, d)`` block of points through the batched kernel.
 
         Equivalent to calling :meth:`add` once per point, but the whole
         block runs inside :func:`repro.kernels.cf.absorb_stream`, so the
@@ -311,17 +311,20 @@ class OnlineClusterer:
         Spawn/absorb/merge events are counted in aggregate (individual
         tracer spans are not emitted on this path).
         """
-        block = [np.asarray(p, dtype=float) for p in points]
-        if not block:
+        point_array = np.asarray(points, dtype=float)
+        if point_array.size == 0:
             return
-        point_array = np.stack(block)
+        if point_array.ndim != 2:
+            raise ValueError("expected an (n, d) block of points, "
+                             f"got shape {point_array.shape}")
+        n = len(point_array)
         if weights is None:
-            point_weights = np.ones(len(block))
+            point_weights = np.ones(n)
         else:
-            point_weights = np.asarray(list(weights), dtype=float)
-            if point_weights.shape != (len(block),):
+            point_weights = np.asarray(weights, dtype=float)
+            if point_weights.shape != (n,):
                 raise ValueError(
-                    f"expected {len(block)} weights, "
+                    f"expected {n} weights, "
                     f"got shape {point_weights.shape}")
         if np.any(point_weights < 0):
             raise ValueError("weight must be non-negative")
@@ -345,7 +348,7 @@ class OnlineClusterer:
                                     linear, square)
         ]
         self._rebuild_cache()
-        self.points_seen += len(block)
+        self.points_seen += n
         registry = obs.get_registry()
         if registry.enabled:
             for event, total in stats.items():

@@ -20,16 +20,17 @@ before every summary observation), and integer counters — so they fire
 (epoch periods, chaos events) instead of event-sized, which is what
 makes batching pay off.
 
-Within a window the engine sorts each arrival into one of three buckets:
+Every window runs one pipeline, :meth:`BatchedAccessEngine._process`,
+which sorts each arrival into one of three buckets:
 
-``A`` — *fully bulk*.  Clean reads (client and all quorum targets up,
-    links uncut and loss-free, replicas installed) that complete
-    strictly before the window's cutoff and carry no timeout risk.
-    All their effects — traffic counters, delivery histograms, summary
-    folds (deferred), access-log records — are applied vectorized.
-``B`` — *hybrid*.  Clean-at-issue reads that outlive the window or may
-    time out.  Send-side accounting is bulk; request deliveries and the
-    retry timeout become real (inert) heap events via
+``A`` — *bulk*.  Clean reads (client and all quorum targets up, links
+    uncut and loss-free, replicas installed) that complete strictly
+    before the window's cutoff and carry no timeout risk.  All their
+    effects — traffic counters, delivery histograms, summary folds
+    (deferred), access-log records — are applied vectorized.
+``B`` — *materialized*.  Clean-at-issue reads that outlive the window
+    or may time out.  Send-side accounting is bulk; request deliveries
+    and the retry timeout become real (inert) heap events via
     :meth:`StorageClient.materialize_read`, so replies, retries and
     timeouts run through the untouched per-event machinery and observe
     any barrier-time state change for real.
@@ -40,17 +41,30 @@ Within a window the engine sorts each arrival into one of three buckets:
     scheduled as a real ``client.read``/``client.write`` event at its
     tick time — byte-identical behaviour including ``"net.loss"`` RNG
     draws in heap order.  Writes are barriers; escalated reads are
-    inert.
+    inert.  When routing or admission depends on live state —
+    pending-aware selection strategies, capacity-bounded queues — every
+    arrival escalates, which makes the window exact but not fast.
 
 The window cutoff is ``min(bound, first write issue time)``: an A item's
 entire effect chain completes strictly before anything non-bulk can
 touch shared state, so state frozen at classification time is the state
 every A effect would have observed.
 
+Under server queueing a **backlog** stage sits between classification
+and emission: the A candidates' request legs run through a vectorized
+per-server FIFO (Lindley) recursion that shares each server's
+``busy_until`` with the per-event path, and a read whose queued
+completion crosses the cutoff or its timeout is demoted from A to B.
+This stage is the engine's one approximation; its error bound is
+stated on :meth:`BatchedAccessEngine._process` and in docs/queueing.md.
+Without queues a request is served on arrival and the stage is absent.
+
 Residual divergence is measure-zero tie-breaking (two floating-point
 event times colliding exactly) plus float summation order inside
 histogram *sum* fields; the differential test suite pins everything
-else bitwise.
+else bitwise.  With the registry enabled, the counters
+``store.batched.{bulk,materialized,escalated}`` count each window's
+buckets A, B and C; they sum to the operations issued.
 """
 
 from __future__ import annotations
@@ -187,44 +201,50 @@ class BatchedAccessEngine:
             return
         registry = obs.get_registry()
         with registry.phase("sim.batched.advance"):
-            if self._escalate_all:
-                self._escalate_batch(batch)
-            elif self._queue_mode:
-                self._process_queued(batch, float(bound))
-            else:
-                self._process(batch, float(bound))
-
-    def _escalate_batch(self, batch: ArrivalBatch) -> None:
-        """Exact mode: replay every arrival through the per-event path.
-
-        Used when routing or admission is state-dependent in ways no
-        frozen-window argument covers: pending-aware selection
-        strategies (every issued read changes the next ranking) and
-        capacity-bounded queues (admission depends on live depth).
-        Byte-identical to the per-event oracle — correct, not fast.
-        """
-        n = batch.size
-        self.operations_issued += n
-        store = self.store
-        sim = self.sim
-        keys = self.source.keys
-        t = batch.times
-        clients = batch.clients
-        key_idx = batch.key_idx
-        is_write = batch.is_write
-        for i in range(n):
-            client = store.clients[int(clients[i])]
-            if is_write[i]:
-                sim.schedule_at(float(t[i]), client.write, keys[key_idx[i]])
-            else:
-                sim.schedule_at(float(t[i]), client.read, keys[key_idx[i]],
-                                inert=True)
+            self._process(batch, float(bound))
 
     # ------------------------------------------------------------------
     def _process(self, batch: ArrivalBatch, bound: float) -> None:
+        """One window: classify, run the backlog (queued mode), emit.
+
+        **Classify.**  Writes escalate, and so does every read issued
+        at or after the window's first write (all arrivals, when
+        :attr:`_escalate_all`).  The other reads are grouped by
+        (client, key); a group whose route cannot be proven clean
+        escalates whole.  Per read, ``arrivals = t + d1`` per leg and
+        ``comp = max(arrivals + d2)``; a read with ``comp >= cutoff``
+        or ``comp >= t + timeout`` is *late* even with zero queue wait.
+
+        **Backlog** (queued mode only).  The per-event oracle admits
+        each read leg into its server's FIFO at delivery time
+        (Lindley: ``finish = max(arrival, busy_until) + service``).
+        The legs of every non-late read are sorted per server by
+        arrival time and pushed through the same recursion in closed
+        form (:meth:`_run_backlog`), sharing ``ServerQueue.busy_until``
+        with the per-event path so escalations and bulk windows drain
+        one backlog.  A read whose *queued* completion crosses the
+        cutoff or the timeout horizon cannot be known clean until the
+        recursion has run, so it is **demoted** post hoc: the recursion
+        is re-run without its legs (waits only shrink, so no new
+        demotions arise) and committed.  Every late, demoted or
+        escalated read is one admission processed out of the oracle's
+        FIFO order; each such admission perturbs any single access's
+        wait by at most one service time, which gives the documented,
+        test-asserted error bound: with deterministic service ``s``,
+        per-access delay differs from the oracle by at most
+        ``(per-event admissions in the run) * s`` (zero when every read
+        is bulk-served).  Stochastic service adds draw-order skew: bulk
+        draws consume the ``"service"`` stream in global arrival order,
+        the oracle in heap order — identical sample *sets* per window
+        only when nothing demotes.
+
+        **Emit.**  Per group, in issue-time order, late and demoted
+        reads re-enter through ``materialize_read`` (bucket B); the
+        retained reads (bucket A) complete at ``finish + d2`` per leg,
+        with ``finish = arrivals`` when there is no queue.  Escalated
+        arrivals (bucket C) are scheduled last.
+        """
         store = self.store
-        sim = self.sim
-        net = store.network
         keys = self.source.keys
         nkeys = len(keys)
         n = batch.size
@@ -235,27 +255,59 @@ class BatchedAccessEngine:
         is_write = batch.is_write
         timeout = store.read_timeout_ms
 
-        # Writes escalate; so does every read issued at or after the
-        # window's first write — its staleness bound and reply versions
-        # race the write chain and must be read live, in heap order.
-        # Reads issued before the first write are untouched: a write's
-        # earliest effect (its request delivery) lands strictly after
-        # its issue time, which caps the window cutoff below.
-        escalate = np.array(is_write, dtype=bool, copy=True)
+        # ---- stage 1: classify.  Reads issued before the first write
+        # are untouched by it: a write's earliest effect (its request
+        # delivery) lands strictly after its issue time, which caps the
+        # window cutoff.  Later reads race the write chain (staleness
+        # bound, reply versions) and must run live, in heap order.
         cutoff = bound
-        if is_write.any():
-            first_write = float(t[is_write].min())
-            cutoff = min(bound, first_write)
-            escalate |= t >= first_write
+        if self._escalate_all:
+            escalate = np.ones(n, dtype=bool)
+        else:
+            escalate = np.array(is_write, dtype=bool, copy=True)
+            if is_write.any():
+                first_write = float(t[is_write].min())
+                cutoff = min(bound, first_write)
+                escalate |= t >= first_write
+        # Per group: [info, tg, arrivals, finish, replies, comp, out],
+        # arrays over the group's reads in issue order (``finish`` is
+        # ``arrivals`` until the backlog stage replaces it); ``out``
+        # marks the reads that leave the bulk path (None: none do).
+        groups: list[list] = []
+        candidates = np.flatnonzero(~escalate)
+        if candidates.size:
+            # Route and leg delays are constant per (client, key).
+            gid = clients[candidates] * nkeys + key_idx[candidates]
+            uniq, inverse, counts = np.unique(gid, return_inverse=True,
+                                              return_counts=True)
+            order = candidates[np.argsort(inverse, kind="stable")]
+            offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
+            for g, gval in enumerate(uniq.tolist()):
+                idx = order[offsets[g]:offsets[g + 1]]
+                info = self._group_info(gval // nkeys, keys[gval % nkeys])
+                if info is None:
+                    escalate[idx] = True
+                    continue
+                tg = t[idx]
+                # Left-associated float sums, exactly as the event chain
+                # computes them: arrival = t + d1, completion = (t+d1) + d2.
+                arrivals = tg[:, None] + info.d1
+                replies = arrivals + info.d2
+                comp = replies.max(axis=1)
+                out = comp >= cutoff
+                if timeout is not None:
+                    # A completion at or past the timeout means the
+                    # timeout event (scheduled at issue, hence lower
+                    # seq) fires first — the retry machinery must run.
+                    out |= comp >= tg + timeout
+                groups.append([info, tg, arrivals, arrivals, replies, comp,
+                               out if np.count_nonzero(out) else None])
 
-        # ---- group accesses by (client, key): route and leg delays are
-        # constant per pair within the window.
-        gid = clients * nkeys + key_idx
-        uniq, inverse, counts = np.unique(gid, return_inverse=True,
-                                          return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        # ---- stage 2: the backlog (queued mode only).
+        if self._queue_mode and groups:
+            self._queue_window(groups, cutoff, timeout)
 
+        # ---- stage 3: emit.
         registry = obs.get_registry()
         tracer = obs.get_tracer() if registry.enabled else None
         log = store.log
@@ -267,50 +319,28 @@ class BatchedAccessEngine:
         deliver_recipients: list[np.ndarray] = []
         deliver_sizes: list[np.ndarray] = []
         deliver_delays: list[np.ndarray] = []
-        served = 0
         delay_blocks: list[np.ndarray] = []
-
-        for g, gval in enumerate(uniq.tolist()):
-            idx = order[offsets[g]:offsets[g + 1]]
-            ridx = idx[~escalate[idx]]
-            if ridx.size == 0:
-                continue
-            info = self._group_info(int(gval) // nkeys, keys[gval % nkeys])
-            if info is None:
-                escalate[ridx] = True
-                continue
-            tg = t[ridx]
+        served = 0
+        for info, tg, arrivals, finish, replies, comp, out in groups:
             q = len(info.targets)
-            # Left-associated float sums, exactly as the event chain
-            # computes them: arrival = t + d1, completion = (t+d1) + d2.
-            arrivals = tg[:, None] + info.d1[None, :]
-            completions = arrivals + info.d2[None, :]
-            comp = completions.max(axis=1)
-            a_sel = comp < cutoff
-            if timeout is not None:
-                # A completion at or past the timeout means the timeout
-                # event (scheduled at issue, hence lower seq) fires
-                # first — the retry machinery must run for real.
-                a_sel &= comp < tg + timeout
-            b_ridx = ridx[~a_sel]
-            if b_ridx.size:
-                # Hybrid: bulk request-send accounting, real (inert)
-                # deliveries + timeout via the client hook.
-                req_senders.append(np.full(q * b_ridx.size, info.client))
-                req_sizes.append(np.full(q * b_ridx.size, REQUEST_BYTES))
+            if out is not None:
+                # Bucket B: bulk request-send accounting, real (inert)
+                # deliveries and timeout via the client hook.
+                issued = tg[out]
+                req_senders.append(np.full(q * issued.size, info.client))
+                req_sizes.append(np.full(q * issued.size, REQUEST_BYTES))
                 client = store.clients[info.client]
                 leg_delays = info.d1.tolist()
-                for issued_at in t[b_ridx].tolist():
+                for issued_at in issued.tolist():
                     client.materialize_read(info.key, issued_at,
                                             info.targets, leg_delays)
-            if not a_sel.any():
-                continue
-            ta = tg[a_sel]
-            arr = arrivals[a_sel]
-            cmp_legs = completions[a_sel]
-            comp_a = comp[a_sel]
-            delays = comp_a - ta
-            m = ta.size
+                if issued.size == tg.size:
+                    continue
+                keep = ~out
+                tg, arrivals, finish = tg[keep], arrivals[keep], finish[keep]
+                replies, comp = replies[keep], comp[keep]
+            delays = comp - tg
+            m = tg.size
             served += m
             delay_blocks.append(delays)
 
@@ -318,15 +348,12 @@ class BatchedAccessEngine:
             # order (stable on leg index); the oracle keeps the first
             # maximum-version reply.
             if q == 1:
-                servers_a = itertools.repeat(info.targets[0], m)
+                servers = itertools.repeat(info.targets[0], m)
             else:
-                rank = np.argsort(cmp_legs, axis=1, kind="stable")
-                versions_ranked = info.versions[rank]
-                first_max = versions_ranked.argmax(axis=1)
+                rank = np.argsort(replies, axis=1, kind="stable")
+                first_max = info.versions[rank].argmax(axis=1)
                 legs = rank[np.arange(m), first_max]
-                servers_a = np.asarray(info.targets)[legs].tolist()
-            version = info.vmax
-            is_stale = info.vmax < info.latest
+                servers = np.asarray(info.targets)[legs].tolist()
             coords_row = planar[info.client]
             client_ids = np.broadcast_to(info.client, (m,))
             req_bytes = np.broadcast_to(REQUEST_BYTES, (m,))
@@ -335,7 +362,7 @@ class BatchedAccessEngine:
             coords_block = np.broadcast_to(coords_row, (m, coords_row.size))
             fold_buffer = info.unit.fold_buffer
             for j, server in enumerate(info.targets):
-                arr_j = arr[:, j]
+                arr_j = arrivals[:, j]
                 # Deferred summary fold, stamped with the request
                 # arrival time (when the event path would fold it).
                 fold_buffer.append((arr_j, info.positions[j],
@@ -345,301 +372,35 @@ class BatchedAccessEngine:
                 req_sizes.append(req_bytes)
                 deliver_recipients.append(np.broadcast_to(server, (m,)))
                 deliver_sizes.append(req_bytes)
-                deliver_delays.append(arr_j - ta)
-                # reply leg: server -> client
+                deliver_delays.append(arr_j - tg)
+                # reply leg: server -> client, departing at service
+                # completion; its transit is still just d2.
                 rep_senders.append(np.broadcast_to(server, (m,)))
                 rep_sizes.append(rep_bytes)
                 deliver_recipients.append(client_ids)
                 deliver_sizes.append(rep_bytes)
-                deliver_delays.append(cmp_legs[:, j] - arr_j)
+                deliver_delays.append(replies[:, j] - finish[:, j])
 
             # Access log: within a group completion times are monotone
             # in issue time, so appends stay sorted; across groups the
             # log re-sorts lazily.
             key = info.key
             client_id = info.client
-            rows = zip(comp_a.tolist(), delays.tolist(), servers_a)
-            if tracer is not None:
-                for when, dly, server in rows:
-                    tracer.record(obs.ACCESS_SERVED, time=when, op="read",
-                                  client=client_id, server=server, key=key,
-                                  delay_ms=dly)
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
-            else:
-                for when, dly, server in rows:
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
-
-        # ---- bulk traffic accounting (integer-valued, hence exact).
-        if req_senders:
-            net.account_bulk_sends("read-req", np.concatenate(req_senders),
-                                   np.concatenate(req_sizes))
-        if rep_senders:
-            net.account_bulk_sends("read-rep", np.concatenate(rep_senders),
-                                   np.concatenate(rep_sizes))
-        if deliver_recipients:
-            net.account_bulk_deliveries(np.concatenate(deliver_recipients),
-                                        np.concatenate(deliver_sizes),
-                                        np.concatenate(deliver_delays))
-        if served:
-            if registry.enabled:
-                registry.counter("accesses.served").inc(served)
-                registry.counter("store.reads").inc(served)
-                registry.histogram("access.delay_ms").observe_many(
-                    np.concatenate(delay_blocks))
-
-        # ---- escalated accesses replay through the per-event path.
-        # Writes are barriers (their chains mutate versions/placement);
-        # escalated reads stay inert.
-        cidx = np.flatnonzero(escalate)
-        for i in cidx.tolist():
-            client = store.clients[int(clients[i])]
-            if is_write[i]:
-                sim.schedule_at(float(t[i]), client.write, keys[key_idx[i]])
-            else:
-                sim.schedule_at(float(t[i]), client.read, keys[key_idx[i]],
-                                inert=True)
-
-    # ------------------------------------------------------------------
-    def _process_queued(self, batch: ArrivalBatch, bound: float) -> None:
-        """Queued-mode window: vectorized per-server backlog recursion.
-
-        The per-event oracle admits each read leg into its server's
-        FIFO at delivery time (Lindley: ``finish = max(arrival,
-        busy_until) + service``).  This method reproduces that in bulk:
-        all provably-clean legs of the window are sorted per server by
-        arrival time and pushed through the same recursion in closed
-        form (``f = S + cummax(max(a - S_prev, busy_until))`` with
-        ``S`` the running service sum), sharing ``ServerQueue.
-        busy_until`` with the per-event path so escalations and bulk
-        windows drain one backlog.
-
-        Classification differs from :meth:`_process` in one way: a read
-        whose *queued* completion crosses the cutoff or the timeout
-        horizon cannot be known clean until the recursion has run, so
-        such reads are **demoted** post-hoc — the recursion is re-run
-        without their legs (waits only shrink, so no new demotions
-        arise), and they re-enter through ``materialize_read`` exactly
-        like a hybrid item, admitting per-event against the committed
-        backlog.  Every demotion or materialization is one admission
-        processed out of the oracle's FIFO order; each such admission
-        perturbs any single access's wait by at most one service time,
-        which gives the documented, test-asserted error bound: with
-        deterministic service ``s``, per-access delay differs from the
-        oracle by at most ``(per-event admissions in the run) * s``
-        (zero when every read is bulk-served).  Stochastic service adds
-        draw-order skew: bulk draws consume the ``"service"`` stream in
-        global arrival order, the oracle in heap order — identical
-        sample *sets* per window only when nothing demotes.
-        """
-        store = self.store
-        sim = self.sim
-        net = store.network
-        queueing = store.queueing
-        keys = self.source.keys
-        nkeys = len(keys)
-        n = batch.size
-        self.operations_issued += n
-        t = batch.times
-        clients = batch.clients
-        key_idx = batch.key_idx
-        is_write = batch.is_write
-        timeout = store.read_timeout_ms
-
-        escalate = np.array(is_write, dtype=bool, copy=True)
-        cutoff = bound
-        if is_write.any():
-            first_write = float(t[is_write].min())
-            cutoff = min(bound, first_write)
-            escalate |= t >= first_write
-
-        gid = clients * nkeys + key_idx
-        uniq, inverse, counts = np.unique(gid, return_inverse=True,
-                                          return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-
-        registry = obs.get_registry()
-        tracer = obs.get_tracer() if registry.enabled else None
-        log = store.log
-        planar = store.planar_coords()
-        req_senders: list[np.ndarray] = []
-        req_sizes: list[np.ndarray] = []
-        rep_senders: list[np.ndarray] = []
-        rep_sizes: list[np.ndarray] = []
-        deliver_recipients: list[np.ndarray] = []
-        deliver_sizes: list[np.ndarray] = []
-        deliver_delays: list[np.ndarray] = []
-        served = 0
-        delay_blocks: list[np.ndarray] = []
-
-        # ---- stage 1: classify.  Optimistically-late reads (past the
-        # cutoff or timeout horizon even with zero queue wait) cannot
-        # be bulk-served regardless of backlog — they materialize like
-        # hybrid items up front.  The rest contribute legs.
-        groups: list[tuple] = []      # (info, candidate ridx, leg offset)
-        materialize: list[tuple] = []  # (info, issue-time array)
-        leg_arr_parts: list[np.ndarray] = []
-        leg_srv_parts: list[np.ndarray] = []
-        leg_total = 0
-        for g, gval in enumerate(uniq.tolist()):
-            idx = order[offsets[g]:offsets[g + 1]]
-            ridx = idx[~escalate[idx]]
-            if ridx.size == 0:
-                continue
-            info = self._group_info(int(gval) // nkeys, keys[gval % nkeys])
-            if info is None:
-                escalate[ridx] = True
-                continue
-            tg = t[ridx]
-            opt = tg + float((info.d1 + info.d2).max())
-            sel = opt < cutoff
-            if timeout is not None:
-                sel &= opt < tg + timeout
-            if not sel.all():
-                materialize.append((info, tg[~sel]))
-                ridx = ridx[sel]
-                tg = tg[sel]
-            if ridx.size == 0:
-                continue
-            arrivals = tg[:, None] + info.d1[None, :]
-            groups.append((info, ridx, leg_total))
-            leg_arr_parts.append(arrivals.ravel())
-            leg_srv_parts.append(np.tile(np.asarray(info.targets), tg.size))
-            leg_total += arrivals.size
-
-        # ---- stage 2: service draws + backlog recursion + demotion.
-        group_demoted: list[np.ndarray] = []
-        finishes = np.empty(leg_total)
-        if leg_total:
-            leg_arr = np.concatenate(leg_arr_parts)
-            leg_srv = np.concatenate(leg_srv_parts)
-            # Draws consumed in global arrival order — the order the
-            # oracle's heap would deliver the requests.
-            draw_order = np.argsort(leg_arr, kind="stable")
-            services = np.empty(leg_total)
-            services[draw_order] = queueing.sample_service_block(
-                sim, leg_total)
-            rec = np.lexsort((leg_arr, leg_srv))
-            self._run_backlog(leg_srv, leg_arr, services, rec, finishes,
-                              commit=False)
-            retained = np.ones(leg_total, dtype=bool)
-            demotions = 0
-            for info, ridx, start in groups:
-                q = len(info.targets)
-                m = ridx.size
-                block = finishes[start:start + m * q].reshape(m, q)
-                comp = (block + info.d2[None, :]).max(axis=1)
-                dem = comp >= cutoff
-                if timeout is not None:
-                    dem |= comp >= t[ridx] + timeout
-                group_demoted.append(dem)
-                if dem.any():
-                    demotions += int(dem.sum())
-                    retained[start:start + m * q] = np.repeat(~dem, q)
-            self.queue_demotions += demotions
-            # Commit pass: excluding demoted legs only shrinks waits,
-            # so the retained set is final after one re-run.
-            self._run_backlog(leg_srv, leg_arr, services,
-                              rec[retained[rec]], finishes, commit=True)
-
-        # ---- stage 3: commit retained reads; demote the rest.
-        for (info, ridx, start), dem in zip(groups, group_demoted):
-            q = len(info.targets)
-            tg_all = t[ridx]
-            if dem.any():
-                nd = int(dem.sum())
-                req_senders.append(np.full(q * nd, info.client))
-                req_sizes.append(np.full(q * nd, REQUEST_BYTES))
-                client = store.clients[info.client]
-                leg_delays = info.d1.tolist()
-                for issued_at in tg_all[dem].tolist():
-                    client.materialize_read(info.key, issued_at,
-                                            info.targets, leg_delays)
-            keep = ~dem
-            if not keep.any():
-                continue
-            tg = tg_all[keep]
-            m = tg.size
-            flat = np.flatnonzero(np.repeat(keep, q)) + start
-            f_block = finishes[flat].reshape(m, q)
-            arr_block = leg_arr[flat].reshape(m, q)
-            reply_block = f_block + info.d2[None, :]
-            comp = reply_block.max(axis=1)
-            delays = comp - tg
-            served += m
-            delay_blocks.append(delays)
-
-            if q == 1:
-                servers_a = itertools.repeat(info.targets[0], m)
-            else:
-                rank = np.argsort(reply_block, axis=1, kind="stable")
-                versions_ranked = info.versions[rank]
-                first_max = versions_ranked.argmax(axis=1)
-                legs = rank[np.arange(m), first_max]
-                servers_a = np.asarray(info.targets)[legs].tolist()
             version = info.vmax
             is_stale = info.vmax < info.latest
-            coords_row = planar[info.client]
-            client_ids = np.broadcast_to(info.client, (m,))
-            req_bytes = np.broadcast_to(REQUEST_BYTES, (m,))
-            rep_bytes = np.broadcast_to(info.read_size, (m,))
-            weights = np.broadcast_to(float(info.read_size), (m,))
-            coords_block = np.broadcast_to(coords_row, (m, coords_row.size))
-            fold_buffer = info.unit.fold_buffer
-            for j, server in enumerate(info.targets):
-                arr_j = arr_block[:, j]
-                fold_buffer.append((arr_j, info.positions[j],
-                                    coords_block, weights, "read"))
-                req_senders.append(client_ids)
-                req_sizes.append(req_bytes)
-                deliver_recipients.append(np.broadcast_to(server, (m,)))
-                deliver_sizes.append(req_bytes)
-                deliver_delays.append(arr_j - tg)
-                # The reply departs at service completion; its network
-                # transit (the delivery delay) is still just d2.
-                rep_senders.append(np.broadcast_to(server, (m,)))
-                rep_sizes.append(rep_bytes)
-                deliver_recipients.append(client_ids)
-                deliver_sizes.append(rep_bytes)
-                deliver_delays.append(reply_block[:, j] - f_block[:, j])
-
-            key = info.key
-            client_id = info.client
-            rows = zip(comp.tolist(), delays.tolist(), servers_a)
-            if tracer is not None:
-                for when, dly, server in rows:
+            for when, dly, server in zip(comp.tolist(), delays.tolist(),
+                                         servers):
+                if tracer is not None:
                     tracer.record(obs.ACCESS_SERVED, time=when, op="read",
                                   client=client_id, server=server, key=key,
                                   delay_ms=dly)
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
-            else:
-                for when, dly, server in rows:
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
+                log.append(AccessRecord(
+                    time=when, client=client_id, server=server, key=key,
+                    delay_ms=dly, kind="read", version=version,
+                    stale=is_stale))
 
-        # ---- optimistically-late reads: hybrid handling.
-        for info, times in materialize:
-            q = len(info.targets)
-            req_senders.append(np.full(q * times.size, info.client))
-            req_sizes.append(np.full(q * times.size, REQUEST_BYTES))
-            client = store.clients[info.client]
-            leg_delays = info.d1.tolist()
-            for issued_at in times.tolist():
-                client.materialize_read(info.key, issued_at, info.targets,
-                                        leg_delays)
-
-        # ---- bulk traffic accounting.
+        # ---- bulk traffic accounting (integer-valued, hence exact).
+        net = store.network
         if req_senders:
             net.account_bulk_sends("read-req", np.concatenate(req_senders),
                                    np.concatenate(req_sizes))
@@ -650,22 +411,108 @@ class BatchedAccessEngine:
             net.account_bulk_deliveries(np.concatenate(deliver_recipients),
                                         np.concatenate(deliver_sizes),
                                         np.concatenate(deliver_delays))
-        if served:
-            if registry.enabled:
+        escalated = np.flatnonzero(escalate)
+        if registry.enabled:
+            registry.counter("store.batched.bulk").inc(served)
+            registry.counter("store.batched.materialized").inc(
+                n - served - escalated.size)
+            registry.counter("store.batched.escalated").inc(escalated.size)
+            if served:
                 registry.counter("accesses.served").inc(served)
                 registry.counter("store.reads").inc(served)
                 registry.histogram("access.delay_ms").observe_many(
                     np.concatenate(delay_blocks))
 
-        # ---- escalated accesses replay through the per-event path.
-        cidx = np.flatnonzero(escalate)
-        for i in cidx.tolist():
+        # ---- bucket C replays through the per-event path.  Writes are
+        # barriers (their chains mutate versions/placement); escalated
+        # reads stay inert.
+        sim = self.sim
+        for i in escalated.tolist():
             client = store.clients[int(clients[i])]
             if is_write[i]:
                 sim.schedule_at(float(t[i]), client.write, keys[key_idx[i]])
             else:
                 sim.schedule_at(float(t[i]), client.read, keys[key_idx[i]],
                                 inert=True)
+
+    def _queue_window(self, groups: list[list], cutoff: float,
+                      timeout: float | None) -> None:
+        """Stage 2 of :meth:`_process`: the window's committed backlog.
+
+        Replaces each group's ``finish``, ``replies`` and ``comp`` with
+        queued values and widens its ``out`` mask by its demoted reads.
+        Late reads take no queue slot; their legs keep
+        ``finish = arrival``.
+        """
+        groups = [group for group in groups if group[-1] is None
+                  or np.count_nonzero(group[-1]) < group[-1].size]
+        if not groups:
+            return
+        leg_arr = np.concatenate([arrivals.ravel()
+                                  for _, _, arrivals, *_ in groups])
+        leg_srv = np.concatenate([
+            np.broadcast_to(info.targets, arrivals.shape).ravel()
+            for info, _, arrivals, *_ in groups])
+        # Draws consumed in global arrival order — the order the
+        # oracle's heap would deliver the requests.
+        draw_order = np.argsort(leg_arr, kind="stable")
+        rec = np.lexsort((leg_arr, leg_srv))
+        if any(out is not None for *_, out in groups):
+            queued = np.concatenate([
+                np.ones(arrivals.size, dtype=bool) if out is None
+                else np.repeat(~out, arrivals.shape[1])
+                for _, _, arrivals, *_, out in groups])
+            draw_order = draw_order[queued[draw_order]]
+            rec = rec[queued[rec]]
+        services = np.empty(leg_arr.size)
+        services[draw_order] = self.store.queueing.sample_service_block(
+            self.sim, draw_order.size)
+        finishes = leg_arr.copy()
+        self._run_backlog(leg_srv, leg_arr, services, rec, finishes,
+                          commit=False)
+
+        # Demotion: a read whose queued completion crosses the cutoff or
+        # the timeout horizon leaves the bulk path with its legs.  Late
+        # reads, whose legs finish on arrival, stay out.
+        retained = None
+        demotions = 0
+        start = 0
+        for group in groups:
+            info, tg, arrivals, *_, late = group
+            stop = start + arrivals.size
+            comp = (finishes[start:stop].reshape(arrivals.shape)
+                    + info.d2).max(axis=1)
+            out = comp >= cutoff
+            if timeout is not None:
+                out |= comp >= tg + timeout
+            demoted = np.count_nonzero(out) - (
+                0 if late is None else np.count_nonzero(late))
+            if demoted:
+                demotions += demoted
+                if retained is None:
+                    retained = np.ones(leg_arr.size, dtype=bool)
+                retained[start:stop] = np.repeat(~out, arrivals.shape[1])
+                group[-1] = out
+            start = stop
+        self.queue_demotions += demotions
+        registry = obs.get_registry()
+        if registry.enabled:
+            registry.counter("store.batched.queue_demotions").inc(demotions)
+        # Commit pass: excluding demoted legs only shrinks waits, so
+        # the retained set is final after one re-run.
+        if retained is not None:
+            rec = rec[retained[rec]]
+        self._run_backlog(leg_srv, leg_arr, services, rec, finishes,
+                          commit=True)
+
+        start = 0
+        for group in groups:
+            info, arrivals = group[0], group[2]
+            stop = start + arrivals.size
+            finish = finishes[start:stop].reshape(arrivals.shape)
+            replies = finish + info.d2
+            group[3:6] = finish, replies, replies.max(axis=1)
+            start = stop
 
     def _run_backlog(self, leg_srv: np.ndarray, leg_arr: np.ndarray,
                      services: np.ndarray, rec: np.ndarray,
@@ -705,6 +552,11 @@ class BatchedAccessEngine:
                 queue.offered += m
                 queue.accepted += m
                 self.bulk_queue_admissions += m
+        if commit:
+            registry = obs.get_registry()
+            if registry.enabled:
+                registry.counter("store.batched.bulk_queue_admissions").inc(
+                    rec.size)
 
     # ------------------------------------------------------------------
     def _group_info(self, client: int, key: str) -> _GroupInfo | None:

@@ -669,6 +669,50 @@ class TestScenarioParsing:
             ChaosScenario(duration_ms=1_000.0, settle_ms=0.0, faults=(
                 FaultSpec(kind="crash", at=5_000.0, node=0),))
 
+    def test_fault_field_types_named(self):
+        cases = [
+            ({"kind": "crash", "at": "soon", "node": 0},
+             "s.toml: fault #0 \\(crash\\): at = 'soon': must be float"),
+            ({"kind": "crash", "at": 1.0, "node": 0, "until": "later"},
+             "fault #0 \\(crash\\): until = 'later': must be float"),
+            ({"kind": "flaky-link", "at": 1.0, "a": 0, "b": 1,
+              "loss": "half"},
+             "fault #0 \\(flaky-link\\): loss = 'half'"),
+            ({"kind": "crash", "at": True, "node": 0},
+             "at = True: must be float"),
+        ]
+        for fault, message in cases:
+            with pytest.raises(ValueError, match=message):
+                _parse_scenario({"faults": [fault]}, "s.toml")
+        # Integer times are valid floats.
+        scenario = _parse_scenario(
+            {"faults": [{"kind": "crash", "at": 1000, "node": 0}]}, "s.toml")
+        assert scenario.faults[0].at == 1000
+
+    def test_fault_range_errors_name_the_source(self):
+        with pytest.raises(ValueError,
+                           match="s.toml: fault #0 \\(flaky-link\\): "
+                                 "link loss"):
+            _parse_scenario({"faults": [{"kind": "flaky-link", "at": 1.0,
+                                         "a": 0, "b": 1, "loss": 1.5}]},
+                            "s.toml")
+        with pytest.raises(ValueError,
+                           match="s.toml: fault #0: .*candidate position 99"):
+            _parse_scenario({"faults": [{"kind": "crash", "at": 1.0,
+                                         "node": 99}]}, "s.toml")
+
+    def test_scenario_errors_name_file_table_and_field(self):
+        with pytest.raises(ValueError, match="s.toml: \\[object\\] k = 50: "
+                                             "need 1 <= k <= n_dc \\(8\\)"):
+            _parse_scenario({"world": {"n_dc": 8}, "object": {"k": 50}},
+                            "s.toml")
+        with pytest.raises(ValueError,
+                           match="s.toml: \\[object\\] k = 'three': "
+                                 "must be int"):
+            _parse_scenario({"object": {"k": "three"}}, "s.toml")
+        with pytest.raises(ValueError, match="s.toml: runs = 0: "):
+            _parse_scenario({"runs": 0}, "s.toml")
+
     def test_unsupported_extension_rejected(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text("name: nope")

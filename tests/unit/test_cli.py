@@ -97,6 +97,23 @@ class TestCommands:
         assert matrix.n == 12
 
 
+    @pytest.mark.parametrize("body, message", [
+        ('[[faults]]\nkind = "crash"\nat = "soon"\nnode = 1\n',
+         "fault #0 (crash): at = 'soon': must be float"),
+        ("[world]\nn_dc = 8\n[object]\nk = 50\n",
+         "[object] k = 50: need 1 <= k <= n_dc (8)"),
+    ])
+    def test_chaos_bad_scenario_exits_2_with_one_line(self, tmp_path,
+                                                      capsys, body,
+                                                      message):
+        path = tmp_path / "bad.toml"
+        path.write_text(body)
+        assert main(["chaos", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+
 class TestExportHelpers:
     def test_figure_csv_roundtrip(self, tmp_path):
         setting = EvaluationSetting(n_nodes=40, n_runs=2,

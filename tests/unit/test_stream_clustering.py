@@ -168,6 +168,16 @@ class TestOnlineClusterer:
         clusterer.extend([np.zeros(2), np.ones(2)])
         assert clusterer.total_count == 2
 
+    def test_extend_takes_one_block(self):
+        clusterer = OnlineClusterer(max_clusters=3)
+        clusterer.extend([])
+        clusterer.extend(np.zeros((0, 2)))
+        assert clusterer.points_seen == 0
+        with pytest.raises(ValueError, match="block of points"):
+            clusterer.extend(np.zeros(2))
+        with pytest.raises(ValueError, match="expected 2 weights"):
+            clusterer.extend(np.zeros((2, 2)), weights=[1.0])
+
     def test_iteration_yields_clusters(self):
         clusterer = OnlineClusterer(max_clusters=3, radius_floor=0.1)
         clusterer.add(np.array([0.0, 0.0]))
